@@ -9,9 +9,7 @@
 package radio
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -144,19 +142,34 @@ func (s *Simulator) NumWAPs() int { return len(s.WAPs) }
 // across repeated visits to the same spot is what gives fingerprints their
 // discriminative texture.
 func (s *Simulator) shadow(wapID int, p geo.Point, floor int) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	h := uint64(fnvOffset64)
+	for _, v := range [...]int64{
+		s.shadowSeed,
+		int64(wapID),
+		int64(math.Floor(p.X / s.shadowCellM)),
+		int64(math.Floor(p.Y / s.shadowCellM)),
+		int64(floor),
+	} {
+		h = fnv1a64Word(h, uint64(v))
 	}
-	put(s.shadowSeed)
-	put(int64(wapID))
-	put(int64(math.Floor(p.X / s.shadowCellM)))
-	put(int64(math.Floor(p.Y / s.shadowCellM)))
-	put(int64(floor))
-	local := mat.NewRand(int64(h.Sum64()))
-	return local.NormFloat64() * s.Cfg.ShadowSigma
+	return mat.SeededNorm(int64(h)) * s.Cfg.ShadowSigma
+}
+
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a64Word folds the eight little-endian bytes of v into the FNV-1a
+// state h.
+func fnv1a64Word(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xFF
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // Measure returns one RSSI fingerprint (length NumWAPs) for a receiver at

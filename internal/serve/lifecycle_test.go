@@ -67,7 +67,13 @@ func TestPromotionRacingReload(t *testing.T) {
 		t.Fatalf("shadow publish: loaded=%d err=%v", loaded, err)
 	}
 
-	// Background reload poller, as reg.Watch would run it.
+	// Background reload poller, as reg.Watch would run it. publishMu
+	// keeps it out while the fixture publishes: publishWiFiGen writes
+	// weights, manifest and mtimes in separate steps, and a poll landing
+	// between them stages a transient stamp that the settled bundle then
+	// replaces as a new generation. The race under test is transitions
+	// against polls, so each publish must look atomic to the poller.
+	var publishMu sync.Mutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -78,7 +84,10 @@ func TestPromotionRacingReload(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, _, err := reg.Reload(); err != nil {
+				publishMu.Lock()
+				_, _, err := reg.Reload()
+				publishMu.Unlock()
+				if err != nil {
 					t.Errorf("racing reload: %v", err)
 					return
 				}
@@ -96,7 +105,9 @@ func TestPromotionRacingReload(t *testing.T) {
 
 	// Publish gen3 (the original weights again, new stamp), let the
 	// poller stage it, then roll it back mid-poll.
+	publishMu.Lock()
 	publishWiFiGen(t, dir, "m", wifiModel, wifiCfg, 4*time.Second)
+	publishMu.Unlock()
 	deadline := time.After(5 * time.Second)
 	for {
 		if st, ok := reg.Staged("m"); ok && st.Generation == 3 {
