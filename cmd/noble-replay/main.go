@@ -44,7 +44,7 @@ func main() {
 	modelsDir := flag.String("models", "models", "bundle directory with the models the journal was recorded against")
 	speed := flag.Float64("speed", 0, "timeline multiplier: 1 = recorded pacing, 10 = 10x, 0 = as fast as possible")
 	eps := flag.Float64("eps", 0, "divergence tolerance in position units (0 = exact)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (0 disables batching)")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batching on when > 0: requests queued during a forward pass share the next one; never delays a pass (0 disables batching)")
 	batchMax := flag.Int("batch-max", 64, "max rows per coalesced forward pass")
 	flag.Parse()
 	if *journalDir == "" {

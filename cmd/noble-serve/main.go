@@ -154,7 +154,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	modelsDir := flag.String("models", "models", "bundle directory (manifest.json + weights.gob per model)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond,
-		"micro-batch coalescing window (0 disables batching)")
+		"micro-batching on when > 0: requests queued during a forward pass share the next one; never delays a pass (0 disables batching)")
 	batchMax := flag.Int("batch-max", 32, "max fingerprints per coalesced forward pass (best ≈ expected concurrent cohort)")
 	reload := flag.Duration("reload", 2*time.Second, "bundle directory poll interval (0 disables hot reload)")
 	sessionTTL := flag.Duration("session-ttl", 10*time.Minute, "evict tracking sessions idle longer than this (0 disables eviction)")

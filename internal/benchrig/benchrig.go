@@ -42,8 +42,8 @@ import (
 
 // EngineOptions selects the serving configuration a scenario measures.
 type EngineOptions struct {
-	// BatchWindow is the micro-batch coalescing window (0 disables
-	// batching — the unbatched baseline scenarios).
+	// BatchWindow > 0 turns micro-batching on (0 disables it — the
+	// unbatched baseline scenarios); it never delays a pass.
 	BatchWindow time.Duration
 	// MaxBatch caps rows per coalesced pass (0 = engine default).
 	MaxBatch int

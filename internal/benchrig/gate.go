@@ -45,12 +45,12 @@ func (f Finding) String() string {
 // The ratio is capped at 1: it only ever RELAXES thresholds (a slower
 // machine gets a proportionally lower throughput bar and higher p99
 // allowance), never tightens them. Scenario numbers are not linear in
-// CPU speed — much of a batched scenario's latency is the fixed 2 ms
-// coalescing window, and a sequential scenario's throughput is bounded
-// by waits, not compute — so demanding speed-times-baseline from a
-// faster runner would fail window-bound scenarios with zero code
-// change. A faster machine simply has to meet the baseline at face
-// value. The floor clamp keeps a corrupt calibration from scaling a
+// CPU speed — much of a batched scenario's latency is time spent
+// queued behind another request's pass, and a sequential scenario's
+// throughput is bounded by waits, not compute — so demanding
+// speed-times-baseline from a faster runner would fail wait-bound
+// scenarios with zero code change. A faster machine simply has to meet
+// the baseline at face value. The floor clamp keeps a corrupt calibration from scaling a
 // real regression away entirely.
 func speedRatio(current, baseline *Bench) float64 {
 	c, b := current.Host.CalibrationMflops, baseline.Host.CalibrationMflops

@@ -329,8 +329,8 @@ func runTrackStream(env *Env) error {
 }
 
 // Mixed-traffic deadline ladder: every request carries a deadline; every
-// 4th localize request gets one below the 2 ms batch window, so a
-// deterministic slice of traffic exercises expiry + queue-drop.
+// 4th localize request gets a tight 1 ms one, so the slice of traffic
+// that queues behind a running pass exercises expiry + queue-drop.
 const (
 	generousDeadline = 25 * time.Millisecond
 	tightDeadline    = 1 * time.Millisecond

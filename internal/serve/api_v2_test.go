@@ -119,22 +119,37 @@ func TestV2LocalizeAndTrackHappyPath(t *testing.T) {
 }
 
 func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
-	// Batch window far longer than the deadline: a lone request's pass
-	// fires after the arrival-gap grace (window/32 = 62ms here), so a
-	// 15ms deadline expires while the job is still queued. It must come
-	// back 504/deadline_exceeded, and its rows must be dropped from the
-	// queue rather than spent in a forward pass.
+	// A request queued behind a forward pass that is still running stays
+	// queued, so a 15ms deadline expires while the job waits. It must
+	// come back 504/deadline_exceeded, and its rows must be dropped from
+	// the queue rather than spent in a forward pass. The earlier pass is
+	// held open inside predict until the queued request has expired.
 	s := newTestServer(t, 2*time.Second)
 	raw, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features}})
 
+	expireBehindHeldPass := func(req *http.Request) *httptest.ResponseRecorder {
+		t.Helper()
+		entered, release := holdNextPass(s.engine.wifiBatcher)
+		holder := make(chan int, 1)
+		go func() { holder <- postJSON(t, s.Handler(), "/v2/localize", string(raw)).Code }()
+		<-entered
+		w := httptest.NewRecorder()
+		start := time.Now()
+		s.Handler().ServeHTTP(w, req)
+		elapsed := time.Since(start)
+		close(release)
+		if elapsed > 250*time.Millisecond {
+			t.Fatalf("deadline not honored: request took %v", elapsed)
+		}
+		if code := <-holder; code != http.StatusOK {
+			t.Fatalf("holding request: status %d", code)
+		}
+		return w
+	}
+
 	req := httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(raw))
 	req.Header.Set("X-Deadline-Ms", "15")
-	w := httptest.NewRecorder()
-	start := time.Now()
-	s.Handler().ServeHTTP(w, req)
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Fatalf("deadline not honored: request took %v", elapsed)
-	}
+	w := expireBehindHeldPass(req)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body)
 	}
@@ -142,8 +157,8 @@ func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
 		t.Fatalf("code %q, want deadline_exceeded", e.Code)
 	}
 
-	// Wait for the window to elapse so the dispatcher processed (and
-	// dropped) the abandoned job.
+	// Wait for the dispatcher to form the pass after the held one, which
+	// drops the abandoned job.
 	deadline := time.Now().Add(2 * time.Second)
 	for s.metrics.BatchDropped("localize") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -151,15 +166,15 @@ func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
 	if d := s.metrics.BatchDropped("localize"); d != 1 {
 		t.Fatalf("dropped rows %d, want 1", d)
 	}
-	if _, rows := s.metrics.BatchStats("localize"); rows != 0 {
-		t.Fatalf("forward passes consumed %d rows for a request that was canceled", rows)
+	if _, rows := s.metrics.BatchStats("localize"); rows != 1 {
+		t.Fatalf("forward passes consumed %d rows, want only the holding pass's 1: the canceled request must not run", rows)
 	}
 
 	// The body field works too (and the stricter of the two wins).
 	raw2, _ := json.Marshal(map[string]any{
 		"model": "wifi-test", "fingerprints": [][]float64{wifiDS.Test[0].Features}, "deadline_ms": 10,
 	})
-	w = postJSON(t, s.Handler(), "/v2/localize", string(raw2))
+	w = expireBehindHeldPass(httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(raw2)))
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline_ms body field: status %d, want 504", w.Code)
 	}
@@ -169,14 +184,28 @@ func TestV2SessionDeadlinePartialCommitIs504(t *testing.T) {
 	// A deadline expiring while a segment waits in the track batcher
 	// answers with the error's own status (504), not a generic 500, and
 	// the body still carries the session identity for the
-	// resend-the-tail protocol.
+	// resend-the-tail protocol. The segment waits because an earlier
+	// track pass is held open inside predict until it has expired.
 	s := newTestServer(t, 2*time.Second)
-	seg := imuDS.Test[0].Features[:imuModel.SegmentDim()]
+	p := imuDS.Test[0]
+	hold, _ := json.Marshal(TrackRequest{Model: "imu-test", Paths: []TrackPath{{
+		Start: XY{X: p.Start.X, Y: p.Start.Y}, Features: p.Features,
+	}}})
+	entered, release := holdNextPass(s.engine.imuBatcher)
+	holder := make(chan int, 1)
+	go func() { holder <- postJSON(t, s.Handler(), "/v1/track", string(hold)).Code }()
+	<-entered
+
+	seg := p.Features[:imuModel.SegmentDim()]
 	raw, _ := json.Marshal(SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Features: seg})
 	req := httptest.NewRequest(http.MethodPost, "/v2/sessions/dl504/segments", bytes.NewReader(raw))
 	req.Header.Set("X-Deadline-Ms", "15")
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
+	close(release)
+	if code := <-holder; code != http.StatusOK {
+		t.Fatalf("holding request: status %d", code)
+	}
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -21,23 +22,21 @@ type PredictFunc[R, P any] func(model string, rows []R) ([]P, error)
 // (*core.WiFiModel).PredictBatch) and track/session traffic (imu.Path
 // rows through (*core.IMUModel).PredictPaths).
 //
-// It runs continuous batching with arrival-gap pass boundaries: a
-// per-model dispatcher goroutine accumulates requests while they keep
-// streaming in, fires a pass at the first pause in the stream (or at
-// MaxBatch rows, or Window after the pass's first request — whichever
-// comes first), and immediately starts accumulating the next pass while
-// the results fan out. Under sustained load passes run back to back with
-// whatever arrived during the previous pass; the Window bounds how long
-// any single request can sit waiting for companions. After Window of
-// complete silence the dispatcher exits; the next request starts a fresh
-// one.
+// It runs natural batching: a per-model dispatcher goroutine starts a
+// pass as soon as there is work and no pass is in flight, and whatever
+// queues while a pass runs becomes the next pass, up to MaxBatch rows.
+// No request waits for companions on a timer: a lone request's pass
+// starts at once, and under load passes run back to back, each carrying
+// the requests that arrived during the previous one. The dispatcher
+// exits once the queue is empty; the next request starts a fresh one.
 //
 // With Window <= 0 every request runs its own pass (the unbatched
-// baseline). Results are split back per request in arrival order. The
-// model is resolved at flush time, so a batch formed across a hot reload
-// simply runs on the newest generation.
+// baseline); any positive Window turns coalescing on. Results are split
+// back per request in arrival order. The model is resolved at flush
+// time, so a batch formed across a hot reload simply runs on the newest
+// generation.
 type Batcher[R, P any] struct {
-	Window   time.Duration
+	Window   time.Duration // > 0 enables coalescing; it never delays a pass
 	MaxBatch int
 
 	kind    string // metrics label ("localize", "track")
@@ -67,8 +66,7 @@ type batchJob[R, P any] struct {
 type batchQueue[R, P any] struct {
 	jobs    []*batchJob[R, P]
 	rows    int
-	running bool          // a dispatcher goroutine is active for this model
-	notify  chan struct{} // cap 1; poked on every enqueue
+	running bool // a dispatcher goroutine is active for this model
 }
 
 // NewBatcher builds a batcher over a predict callback. kind labels the
@@ -108,7 +106,7 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 	b.mu.Lock()
 	q := b.queues[model]
 	if q == nil {
-		q = &batchQueue[R, P]{notify: make(chan struct{}, 1)}
+		q = &batchQueue[R, P]{}
 		b.queues[model] = q
 	}
 	q.jobs = append(q.jobs, job)
@@ -120,11 +118,6 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 	b.mu.Unlock()
 	if spawn {
 		go b.dispatch(model, q)
-	} else {
-		select {
-		case q.notify <- struct{}{}:
-		default: // a wakeup is already pending
-		}
 	}
 
 	select {
@@ -135,78 +128,18 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 	}
 }
 
-// dispatch drains one model's queue in passes until the queue stays
-// silent for a full Window, then exits.
+// dispatch drains one model's queue in passes until it is empty, then
+// exits. Each pass takes whatever queued while the previous one ran.
 //
-// Pass boundaries come from arrival-gap detection: while requests keep
-// streaming in (inter-arrival gaps below the grace threshold, a small
-// fraction of Window), the dispatcher keeps accumulating; the first
-// pause in the stream — the sign that the
-// concurrent cohort has fully arrived — fires the pass. The wait is also
-// bounded by Window in total and by MaxBatch rows, so a pass fires at
-// most Window after its first request no matter how traffic trickles.
-// This is stateless, so it cannot lock into a degenerate batch size: a
-// lone request waits only one gap, a burst coalesces into one pass, and
-// sustained load runs full passes back to back.
+// A new dispatcher yields once before its first pass, so goroutines that
+// are already runnable — a burst of simultaneous requests — enqueue in
+// time to join that pass instead of each waiting out the one before.
 func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
-	timer := time.NewTimer(b.Window)
-	defer timer.Stop()
-	// The gap threshold needs to exceed the per-request ingest time (so a
-	// streaming cohort is not split) while staying far below the pass
-	// compute time (so the tail wait is cheap); a small fraction of the
-	// window fits both on current hardware.
-	grace := b.Window / 32
-	if grace < 40*time.Microsecond {
-		grace = 40 * time.Microsecond
-	}
-	graceTimer := time.NewTimer(grace)
-	defer graceTimer.Stop()
+	runtime.Gosched()
 	for {
-		// Idle stage: wait for the first job of the next pass. A full
-		// Window of silence retires the dispatcher.
-		resetTimer(timer, b.Window)
-		idle := false
-		for !idle {
-			b.mu.Lock()
-			rows := q.rows
-			b.mu.Unlock()
-			if rows > 0 {
-				break
-			}
-			select {
-			case <-q.notify:
-			case <-timer.C:
-				idle = true
-			}
-		}
-
-		if !idle {
-			// Fill stage: accumulate while the arrival stream is hot,
-			// bounded by Window overall and MaxBatch rows.
-			resetTimer(timer, b.Window)
-			resetTimer(graceTimer, grace)
-		fill:
-			for {
-				b.mu.Lock()
-				rows := q.rows
-				b.mu.Unlock()
-				if rows >= b.MaxBatch {
-					break
-				}
-				select {
-				case <-q.notify:
-					resetTimer(graceTimer, grace)
-				case <-graceTimer.C:
-					break fill
-				case <-timer.C:
-					break fill
-				}
-			}
-		}
-
 		b.mu.Lock()
 		if len(q.jobs) == 0 {
-			// A full Window of silence: retire this dispatcher.
+			// Nothing queued behind the last pass: retire this dispatcher.
 			q.running = false
 			b.mu.Unlock()
 			return
@@ -251,20 +184,6 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			b.flush(model, take)
 		}
 	}
-}
-
-// resetTimer restarts a (possibly fired, possibly drained) timer. The
-// stop-drain-reset sequence is only race-free under the synchronous
-// timer semantics of go >= 1.23 (declared in go.mod): pre-1.23 async
-// timers could deliver a stale fire after the drain.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
 }
 
 // flush runs one forward pass for the coalesced jobs and fans results

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"noble/internal/obs"
 )
 
 // TestBatcherDropsCanceledJobs pins the cancellation contract: a job
@@ -149,5 +151,153 @@ func TestBatcherErrorFansOut(t *testing.T) {
 		if err == nil || err.Error() != "boom" {
 			t.Fatalf("job %d: err %v, want boom", i, err)
 		}
+	}
+}
+
+// holdNextPass makes b's next forward pass block inside predict until
+// release is closed; entered is closed once that pass is running. Call
+// it while b has no pass in flight.
+func holdNextPass[R, P any](b *Batcher[R, P]) (entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
+	inner := b.predict
+	var held atomic.Bool
+	b.predict = func(model string, rows []R) ([]P, error) {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return inner(model, rows)
+	}
+	return entered, release
+}
+
+// waitQueuedRows polls until model's queue holds want rows.
+func waitQueuedRows[R, P any](t *testing.T, b *Batcher[R, P], model string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		rows := 0
+		if q := b.queues[model]; q != nil {
+			rows = q.rows
+		}
+		b.mu.Unlock()
+		if rows == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d rows, want %d", rows, want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestBatcherLoneRequestDoesNotWait pins that Window is not a wait: a
+// lone request's pass starts at once even when Window is an hour, and
+// its trace shows no meaningful queue_wait.
+func TestBatcherLoneRequestDoesNotWait(t *testing.T) {
+	b := NewBatcher("t", time.Hour, 64, func(model string, rows []int) ([]int, error) {
+		return rows, nil
+	}, nil)
+	tracer := obs.NewTracer(obs.Options{})
+	ctx, tr := tracer.Start(context.Background(), "lone", "")
+	ctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	if _, err := b.Submit(ctx, "m", []int{1}); err != nil {
+		t.Fatalf("lone submit did not return within 1s: %v", err)
+	}
+	tr.Finish(200)
+	dump, ok := findTrace(tracer.Dump(), tr.ID())
+	if !ok {
+		t.Fatalf("trace %s not retained", tr.ID())
+	}
+	sp, ok := spanOf(dump, obs.StageQueueWait)
+	if !ok {
+		t.Fatalf("no queue_wait span: %+v", dump.Spans)
+	}
+	if sp.DurationMs >= 50 {
+		t.Fatalf("lone request waited %.3f ms in the queue, want < 50", sp.DurationMs)
+	}
+}
+
+// TestBatcherQueuedJobsFormNextPass pins natural batching: jobs that
+// queue while a pass is in flight form the next pass, taking whole jobs
+// up to MaxBatch rows.
+func TestBatcherQueuedJobsFormNextPass(t *testing.T) {
+	cases := []struct {
+		name   string
+		jobs   []int // rows per queued job
+		passes []int // rows per pass after the held one
+	}{
+		{"fit one pass", []int{8, 8, 8, 8}, []int{32}},
+		{"whole jobs only", []int{20, 20, 20}, []int{20, 20, 20}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var passes []int
+			b := NewBatcher("t", time.Millisecond, 32, func(model string, rows []int) ([]int, error) {
+				mu.Lock()
+				passes = append(passes, len(rows))
+				mu.Unlock()
+				return rows, nil
+			}, nil)
+			entered, release := holdNextPass(b)
+			var wg sync.WaitGroup
+			submit := func(n int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rows := make([]int, n)
+					if got, err := b.Submit(context.Background(), "m", rows); err != nil || len(got) != n {
+						t.Errorf("submit of %d rows: got %d rows, %v", n, len(got), err)
+					}
+				}()
+			}
+			submit(1)
+			<-entered
+			total := 0
+			for _, n := range tc.jobs {
+				submit(n)
+				total += n
+			}
+			waitQueuedRows(t, b, "m", total)
+			close(release)
+			wg.Wait()
+
+			mu.Lock()
+			defer mu.Unlock()
+			want := append([]int{1}, tc.passes...)
+			if fmt.Sprint(passes) != fmt.Sprint(want) {
+				t.Fatalf("pass sizes %v, want %v", passes, want)
+			}
+		})
+	}
+}
+
+// TestBatcherDispatcherRetires pins that the dispatcher exits once the
+// queue is empty rather than idling out Window: after the last answer
+// the queue goes back to not running.
+func TestBatcherDispatcherRetires(t *testing.T) {
+	b := NewBatcher("t", time.Hour, 64, func(model string, rows []int) ([]int, error) {
+		return rows, nil
+	}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := b.Submit(ctx, "m", []int{1}); err != nil {
+		t.Fatalf("lone submit did not return within 1s: %v", err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		b.mu.Lock()
+		running := b.queues["m"].running
+		b.mu.Unlock()
+		if !running {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher still running 1s after the last answer")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

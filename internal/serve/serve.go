@@ -75,14 +75,14 @@ import (
 type Config struct {
 	// Registry resolves model names; required.
 	Registry *Registry
-	// BatchWindow is how long a localize or track request may wait for
-	// companions to share a forward pass. Zero or negative disables
-	// micro-batching (every request runs its own pass) — the comparison
-	// baseline for noble-loadgen.
+	// BatchWindow > 0 turns micro-batching on: requests that queue while
+	// a forward pass runs share the next pass. It never delays a pass; a
+	// lone request runs at once. Zero or negative disables micro-batching
+	// (every request runs its own pass) — the comparison baseline for
+	// noble-loadgen.
 	BatchWindow time.Duration
 	// MaxBatch caps rows (fingerprints or paths) per coalesced forward
-	// pass; a full batch flushes immediately without waiting out the
-	// window. Defaults to 64.
+	// pass; requests beyond it wait for the pass after. Defaults to 64.
 	MaxBatch int
 	// SessionTTL evicts tracking sessions idle longer than this. Zero
 	// disables eviction; the sweeper itself only runs when the caller
