@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -309,21 +310,29 @@ func deadlineMs(ctx context.Context) (int64, bool) {
 	return ms, true
 }
 
-// marshal encodes a request body, panicking on programmer error (the
-// wire types here always marshal).
-func marshal(v any) []byte {
+// marshal encodes a request body. It fails on NaN and ±Inf, which JSON
+// cannot carry and a sensor feature can hold.
+func marshal(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("client: encoding request: %v", err))
+		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	return raw
+	return raw, nil
 }
 
 // Localize asks the named Wi-Fi model for positions, one per
 // fingerprint, in order. This is the fleet hot path, so both directions
 // go through the hand-rolled wire layer (fastwire.go) with an
-// encoding/json fallback on the decode.
+// encoding/json fallback on the decode. A NaN or ±Inf value is an error
+// before anything is sent, since JSON has no encoding for it.
 func (c *Client) Localize(ctx context.Context, model string, fingerprints ...[]float64) ([]Position, error) {
+	for i, fp := range fingerprints {
+		for j, v := range fp {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("client: encoding request: fingerprint %d value %d is %v", i, j, v)
+			}
+		}
+	}
 	return c.localizeBody(ctx, appendLocalizeRequest(nil, model, fingerprints))
 }
 
@@ -373,7 +382,10 @@ func (c *Client) Track(ctx context.Context, model string, paths []Path) ([]Track
 		RequestID string        `json:"request_id"`
 		Results   []TrackResult `json:"results"`
 	}
-	body := marshal(map[string]any{"model": model, "paths": paths})
+	body, err := marshal(map[string]any{"model": model, "paths": paths})
+	if err != nil {
+		return nil, err
+	}
 	if err := c.do(ctx, http.MethodPost, "/track", body, &resp); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -259,6 +260,42 @@ func TestAppendNeverRetries(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("append hit the server %d times; it must never be retried", hits.Load())
+	}
+}
+
+// TestNonFiniteInputIsAnError: NaN and ±Inf have no JSON encoding, so
+// every call that carries sensor values returns an error for them
+// without sending anything — never a panic, never a malformed body.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	var hits atomic.Int32
+	mock := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusBadRequest)
+	}))
+	defer mock.Close()
+	c := client.New(mock.URL)
+	ctx := context.Background()
+	bad := []float64{0.5, math.NaN(), math.Inf(-1)}
+	for name, call := range map[string]func() error{
+		"Localize": func() error {
+			_, err := c.Localize(ctx, "m", bad)
+			return err
+		},
+		"Track": func() error {
+			_, err := c.Track(ctx, "m", []client.Path{{Features: bad}})
+			return err
+		},
+		"Append": func() error {
+			_, err := c.Session("d").Append(ctx, client.AppendRequest{Model: "m", Start: &client.XY{}, Features: bad})
+			return err
+		},
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s accepted non-finite input", name)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("non-finite input reached the server %d times", n)
 	}
 }
 

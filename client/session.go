@@ -32,7 +32,11 @@ func (s *Session) ID() string { return s.id }
 // the request provably never reached the server.
 func (s *Session) Append(ctx context.Context, req AppendRequest) (SessionState, error) {
 	var st SessionState
-	status, raw, err := s.c.roundTrip(ctx, http.MethodPost, "/sessions/"+s.id+"/segments", marshal(req))
+	body, err := marshal(req)
+	if err != nil {
+		return st, err
+	}
+	status, raw, err := s.c.roundTrip(ctx, http.MethodPost, "/sessions/"+s.id+"/segments", body)
 	if err != nil {
 		return st, err
 	}

@@ -10,9 +10,10 @@ import (
 // CPU than the batched forward pass itself (measured ~40% of server CPU
 // at 7k req/s), so the exact request shape
 // {"model":"...","fingerprints":[[...],...]} is parsed by a small
-// scanner. Anything it does not recognize — escapes, unknown keys,
-// unexpected nesting — makes it bail out and the caller falls back to
-// encoding/json, keeping behavior identical for every valid request.
+// scanner. Anything it does not recognize — escapes, control or
+// non-ASCII bytes in strings, unknown keys, unexpected nesting — makes
+// it bail out and the caller falls back to encoding/json, keeping
+// behavior identical for every valid request.
 
 // parseLocalizeRequest attempts the fast parse of data into req,
 // reporting whether it succeeded. On false the caller must re-parse with
@@ -179,23 +180,24 @@ func (p *scanner) expect(c byte) bool {
 	return true
 }
 
-// simpleString parses a quoted string without escape sequences (any
-// backslash bails out to the slow path).
+// simpleString parses a quoted string of plain ASCII. Anything else
+// bails out to the slow path: a backslash (escape sequences), a raw
+// control byte (which encoding/json rejects), and any byte >= 0x80
+// (encoding/json replaces invalid UTF-8 with U+FFFD, so copying the
+// bytes verbatim could disagree with it).
 func (p *scanner) simpleString() (string, bool) {
 	if !p.expect('"') {
 		return "", false
 	}
 	start := p.pos
-	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case '\\':
-			return "", false
-		case '"':
+	for ; p.pos < len(p.buf); p.pos++ {
+		switch c := p.buf[p.pos]; {
+		case c == '"':
 			s := string(p.buf[start:p.pos])
 			p.pos++
 			return s, true
-		default:
-			p.pos++
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return "", false
 		}
 	}
 	return "", false

@@ -27,19 +27,61 @@ func TestParseLocalizeRequestMatchesEncodingJSON(t *testing.T) {
 		if !parseLocalizeRequest([]byte(raw), &got) {
 			t.Fatalf("fast parse rejected valid request %q", raw)
 		}
-		if got.Model != want.Model || len(got.Fingerprints) != len(want.Fingerprints) {
+		if !sameLocalizeRequest(got, want) {
 			t.Fatalf("fast parse of %q: got %+v, want %+v", raw, got, want)
 		}
-		for i := range want.Fingerprints {
-			if len(want.Fingerprints[i]) == 0 && len(got.Fingerprints[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got.Fingerprints[i], want.Fingerprints[i]) {
-				t.Fatalf("fast parse of %q: fingerprint %d %v, want %v",
-					raw, i, got.Fingerprints[i], want.Fingerprints[i])
+	}
+}
+
+// sameLocalizeRequest compares two decodes bit for bit. A nil and an
+// empty list are equal: the fast path leaves `"fingerprints":[]` nil
+// where encoding/json allocates an empty slice.
+func sameLocalizeRequest(a, b LocalizeRequest) bool {
+	if a.Model != b.Model || len(a.Fingerprints) != len(b.Fingerprints) {
+		return false
+	}
+	for i := range a.Fingerprints {
+		if len(a.Fingerprints[i]) != len(b.Fingerprints[i]) {
+			return false
+		}
+		for j, v := range a.Fingerprints[i] {
+			if math.Float64bits(v) != math.Float64bits(b.Fingerprints[i][j]) {
+				return false
 			}
 		}
 	}
+	return true
+}
+
+// FuzzParseLocalizeRequest differentially tests both fast parsers
+// against encoding/json, the fallback that defines behavior: whenever a
+// fast parse succeeds, json.Unmarshal of the same bytes must succeed and
+// decode the same model, deadline and fingerprint bits. A bail-out is
+// always safe, since the handler then decodes with encoding/json itself.
+// The seed corpus in testdata/fuzz holds the cases of this file's tests.
+func FuzzParseLocalizeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v1 LocalizeRequest
+		if parseLocalizeRequest(data, &v1) {
+			var want LocalizeRequest
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("/v1 fast parse accepted %q; encoding/json: %v", data, err)
+			}
+			if !sameLocalizeRequest(v1, want) {
+				t.Fatalf("/v1 fast parse of %q: got %+v, want %+v", data, v1, want)
+			}
+		}
+		var v2 localizeRequestV2
+		if parseLocalizeRequestV2(data, &v2) {
+			var want localizeRequestV2
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("/v2 fast parse accepted %q; encoding/json: %v", data, err)
+			}
+			if v2.DeadlineMs != want.DeadlineMs || !sameLocalizeRequest(v2.LocalizeRequest, want.LocalizeRequest) {
+				t.Fatalf("/v2 fast parse of %q: got %+v, want %+v", data, v2, want)
+			}
+		}
+	})
 }
 
 func TestParseLocalizeRequestBailsToSlowPath(t *testing.T) {
@@ -62,6 +104,11 @@ func TestParseLocalizeRequestBailsToSlowPath(t *testing.T) {
 		`{"model":"m","fingerprints":[[1.]]}`,
 		`{"model":"m","fingerprints":[[1.5e]]}`,
 		`{"model":"m","fingerprints":[[0x1]]}`,
+		// Bytes encoding/json treats differently from a verbatim copy: a
+		// raw control byte is a syntax error there, and invalid UTF-8
+		// becomes U+FFFD.
+		"{\"model\":\"a\nb\",\"fingerprints\":[[1]]}",
+		"{\"model\":\"a\xffb\",\"fingerprints\":[[1]]}",
 	} {
 		var req LocalizeRequest
 		if parseLocalizeRequest([]byte(raw), &req) {
@@ -104,8 +151,7 @@ func TestParseLocalizeRequestV2MatchesEncodingJSON(t *testing.T) {
 		if !parseLocalizeRequestV2([]byte(raw), &got) {
 			t.Fatalf("fast parse rejected valid /v2 request %q", raw)
 		}
-		if got.Model != want.Model || got.DeadlineMs != want.DeadlineMs ||
-			!reflect.DeepEqual(got.Fingerprints, want.Fingerprints) {
+		if got.DeadlineMs != want.DeadlineMs || !sameLocalizeRequest(got.LocalizeRequest, want.LocalizeRequest) {
 			t.Fatalf("fast parse of %q: got %+v, want %+v", raw, got, want)
 		}
 	}

@@ -271,18 +271,6 @@ func (m *Model) lifecycleInfo() ModelInfo {
 	return info
 }
 
-// InputDimFor returns the model's input width for mirror-compatibility
-// checks: fingerprint width for WiFi, segment width for IMU.
-func (m *Model) inputWidth() int {
-	switch {
-	case m.WiFi != nil:
-		return m.WiFi.InputDim()
-	case m.IMU != nil:
-		return m.IMU.SegmentDim()
-	}
-	return 0
-}
-
 // bundleStamp fingerprints a whole bundle directory for change
 // detection: one sorted line per regular payload file (name, size,
 // mtime). Fingerprinting EVERY payload file — not just manifest and
